@@ -4,7 +4,8 @@
 //! MySQL evaluation semantics: three-valued logic, implicit numeric
 //! coercion, division-by-zero-is-NULL, case-insensitive identifiers.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use septic_sql::ast::*;
@@ -14,7 +15,7 @@ use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::expr::{call_scalar, is_aggregate, SideEffects};
 use crate::plan::SelectPlan;
-use crate::storage::{Database, Row};
+use crate::storage::{Database, Row, TableStore};
 use crate::value::Value;
 use crate::vmexec::{self, ProgramCache};
 
@@ -233,19 +234,21 @@ pub(crate) struct Binding {
     pub(crate) schema: TableSchema,
 }
 
-/// A composite row: one storage row per binding (parallel to the layout).
+/// A composite row: one borrowed storage row per binding (parallel to the
+/// layout). The rows live in the arm's table handles or its all-NULL
+/// padding rows, so building a candidate copies pointers, not values.
 #[derive(Debug, Clone)]
-pub(crate) struct CRow {
-    pub(crate) cells: Vec<Row>,
+pub(crate) struct CRow<'r> {
+    pub(crate) cells: Vec<&'r Row>,
 }
 
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
     db: &'a Database,
     layout: &'a [Binding],
-    row: &'a CRow,
+    row: &'a CRow<'a>,
     /// All rows of the current group when aggregating.
-    group: Option<&'a [CRow]>,
+    group: Option<&'a [CRow<'a>]>,
     /// Enclosing scope for correlated subqueries.
     outer: Option<&'a EvalCtx<'a>>,
     now: i64,
@@ -674,20 +677,24 @@ fn run_select(
         }
         rows.extend(next_rows);
         if !all {
-            let mut seen = std::collections::HashSet::new();
-            rows.retain(|r| seen.insert(row_key(r)));
+            dedup_rows(&mut rows);
         }
     }
     Ok((columns, rows))
 }
 
-fn row_key(row: &Row) -> String {
-    let mut k = String::new();
-    for v in row {
-        k.push_str(&format!("{v:?}"));
-        k.push('\u{1f}');
-    }
-    k
+/// Keeps the first of each set of duplicate rows (DISTINCT, UNION), where
+/// duplicates are rows with equal [`Value::push_key`] keys.
+fn dedup_rows(rows: &mut Vec<Row>) {
+    let mut seen = HashSet::new();
+    let mut key = String::new();
+    rows.retain(|row| {
+        key.clear();
+        for v in row {
+            v.push_key(&mut key);
+        }
+        !seen.contains(key.as_str()) && seen.insert(key.clone())
+    });
 }
 
 /// Plans one SELECT arm and interprets the resulting stage pipeline.
@@ -705,178 +712,213 @@ fn run_select_arm(
     // which the compiler does not model.
     let cache = if outer.is_none() { cache } else { None };
     let plan = SelectPlan::build(db, select)?;
-    let rows = scan_stage(db, &plan)?;
-    let rows = join_stage(db, &plan, rows, outer, now, fx)?;
-    let rows = filter_stage(db, &plan, rows, outer, cache, now, fx)?;
-    let result = emit_stage(db, &plan, rows, outer, cache, now, fx)?;
+    // Every composite row of the arm borrows from these: one table handle
+    // and one all-NULL row (LEFT JOIN padding, empty-group stand-in) per
+    // layout binding.
+    let stores = plan
+        .scan
+        .iter()
+        .copied()
+        .chain(plan.joins.iter().map(|j| j.table))
+        .map(|t| db.table_or_virtual(&t.name))
+        .collect::<Result<Vec<_>, _>>()?;
+    let nulls: Vec<Row> = plan
+        .layout
+        .iter()
+        .map(|b| vec![Value::Null; b.schema.columns.len()])
+        .collect();
+    let mut arm = Arm {
+        db,
+        plan: &plan,
+        stores: &stores,
+        nulls: &nulls,
+        outer,
+        cache,
+        filter: Predicate::new(plan.filter, &plan.layout, cache),
+        now,
+    };
+    let mut rows = Vec::new();
+    let mut candidate = CRow {
+        cells: Vec::with_capacity(plan.layout.len()),
+    };
+    arm.produce(0, &mut candidate, &mut rows, fx)?;
+    let result = arm.emit(rows, fx)?;
     let result = limit_stage(&plan, result);
     Ok((plan.project.columns.clone(), result))
 }
 
-/// Scan: cartesian product of the FROM tables. With no FROM there is a
-/// single empty composite row (`SELECT 1`).
-fn scan_stage(db: &Database, plan: &SelectPlan<'_>) -> Result<Vec<CRow>, DbError> {
-    let mut rows: Vec<CRow> = vec![CRow { cells: Vec::new() }];
-    for t in &plan.scan {
-        let store = db.table_or_virtual(&t.name)?;
-        let mut next = Vec::new();
-        for base in &rows {
-            for (_, row) in store.scan() {
-                let mut cells = base.cells.clone();
-                cells.push(row.clone());
-                next.push(CRow { cells });
-            }
-        }
-        rows = next;
-    }
-    Ok(rows)
+/// Compiles `expr` for `layout` through the cache and gathers its literal
+/// slots, or `None` when the shape stays on the walker.
+fn compile(
+    cache: Option<&ProgramCache>,
+    expr: &Expr,
+    layout: &[Binding],
+) -> Option<(Arc<septic_vm::Program>, Vec<Value>)> {
+    let program = cache?.program_for(expr, layout)?;
+    let mut slots = Vec::with_capacity(program.slots() as usize);
+    vmexec::collect_literals(expr, &mut slots);
+    debug_assert_eq!(slots.len(), program.slots() as usize);
+    Some((program, slots))
 }
 
-/// Nested-loop joins, in plan order. Only the layout prefix up to the
-/// joined binding is visible to the ON predicate — later joins have not
-/// produced cells yet. LEFT joins null-pad probe rows with no match.
-fn join_stage(
-    db: &Database,
-    plan: &SelectPlan<'_>,
-    mut rows: Vec<CRow>,
-    outer: Option<&EvalCtx<'_>>,
-    now: i64,
-    fx: &mut SideEffects,
-) -> Result<Vec<CRow>, DbError> {
-    for join in &plan.joins {
-        let store = db.table_or_virtual(&join.table.name)?;
-        let visible = &plan.layout[..=join.binding];
-        let mut next = Vec::new();
-        for base in &rows {
-            let mut matched = false;
-            for (_, row) in store.scan() {
-                let mut cells = base.cells.clone();
-                cells.push(row.clone());
-                let candidate = CRow { cells };
-                let keep = match join.on {
-                    None => true,
-                    Some(on) => {
-                        let ctx = EvalCtx {
-                            db,
-                            layout: visible,
-                            row: &candidate,
-                            group: None,
-                            outer,
-                            now,
-                        };
-                        eval(on, &ctx, fx)?.is_truthy()
-                    }
+/// A WHERE predicate ready to test rows: the one place SELECT, UPDATE and
+/// DELETE choose between a compiled program (run on a reused VM stack)
+/// and the recursive walker.
+enum Predicate<'e> {
+    /// No WHERE clause: every row passes.
+    Always,
+    Compiled {
+        program: Arc<septic_vm::Program>,
+        slots: Vec<Value>,
+        vm: Vm<Value>,
+    },
+    Walker(&'e Expr),
+}
+
+impl<'e> Predicate<'e> {
+    fn new(filter: Option<&'e Expr>, layout: &[Binding], cache: Option<&ProgramCache>) -> Self {
+        let Some(expr) = filter else {
+            return Predicate::Always;
+        };
+        match compile(cache, expr, layout) {
+            Some((program, slots)) => Predicate::Compiled {
+                program,
+                slots,
+                vm: Vm::new(),
+            },
+            None => Predicate::Walker(expr),
+        }
+    }
+
+    /// Tests the row of `ctx`.
+    fn holds(&mut self, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Result<bool, DbError> {
+        Ok(match self {
+            Predicate::Always => true,
+            Predicate::Compiled { program, slots, vm } => {
+                let mut host = vmexec::ExprHost {
+                    slots,
+                    row: ctx.row,
+                    now: ctx.now,
+                    fx,
                 };
-                if keep {
-                    matched = true;
-                    next.push(candidate);
-                }
+                vm.run(program, &mut host)?.is_truthy()
             }
-            if !matched && join.kind == JoinKind::Left {
-                let mut cells = base.cells.clone();
-                cells.push(vec![
-                    Value::Null;
-                    plan.layout[join.binding].schema.columns.len()
-                ]);
-                next.push(CRow { cells });
-            }
-        }
-        rows = next;
-    }
-    Ok(rows)
-}
-
-/// Filter: the WHERE per-row hot loop. With a program cache the predicate
-/// runs as a compiled program on a reusable VM stack; otherwise (or for
-/// walker-only shapes in the negative cache) the recursive evaluator runs
-/// as before.
-fn filter_stage(
-    db: &Database,
-    plan: &SelectPlan<'_>,
-    rows: Vec<CRow>,
-    outer: Option<&EvalCtx<'_>>,
-    cache: Option<&ProgramCache>,
-    now: i64,
-    fx: &mut SideEffects,
-) -> Result<Vec<CRow>, DbError> {
-    let Some(where_clause) = plan.filter else {
-        return Ok(rows);
-    };
-    let compiled = cache.and_then(|c| c.program_for(where_clause, &plan.layout));
-    let mut kept = Vec::new();
-    if let Some(program) = compiled {
-        let mut slots = Vec::new();
-        vmexec::collect_literals(where_clause, &mut slots);
-        debug_assert_eq!(slots.len(), program.slots() as usize);
-        let mut vm = Vm::new();
-        for row in rows {
-            let mut host = vmexec::ExprHost {
-                slots: &slots,
-                row: &row,
-                now,
-                fx,
-            };
-            if vm.run(&program, &mut host)?.is_truthy() {
-                kept.push(row);
-            }
-        }
-    } else {
-        for row in rows {
-            let ctx = EvalCtx {
-                db,
-                layout: &plan.layout,
-                row: &row,
-                group: None,
-                outer,
-                now,
-            };
-            if eval(where_clause, &ctx, fx)?.is_truthy() {
-                kept.push(row);
-            }
-        }
-    }
-    Ok(kept)
-}
-
-/// Aggregate + Project + Sort + Distinct: turns filtered composite rows
-/// into output rows. Grouping (when the plan has an aggregate stage)
-/// partitions by the GROUP BY key vector — or one synthetic all-rows
-/// group — applies HAVING per group, then projects one row per group.
-#[allow(clippy::too_many_lines)]
-fn emit_stage(
-    db: &Database,
-    plan: &SelectPlan<'_>,
-    rows: Vec<CRow>,
-    outer: Option<&EvalCtx<'_>>,
-    cache: Option<&ProgramCache>,
-    now: i64,
-    fx: &mut SideEffects,
-) -> Result<Vec<Row>, DbError> {
-    let layout = &plan.layout;
-    let columns = &plan.project.columns;
-
-    // Compile non-aggregate projection expressions once for the whole
-    // result set; items that stay on the walker keep `None`.
-    let item_programs: Vec<Option<(Arc<septic_vm::Program>, Vec<Value>)>> = plan
-        .project
-        .items
-        .iter()
-        .map(|item| match (cache, item) {
-            (Some(c), SelectItem::Expr { expr, .. }) => {
-                c.program_for(expr, layout).map(|program| {
-                    let mut slots = Vec::new();
-                    vmexec::collect_literals(expr, &mut slots);
-                    debug_assert_eq!(slots.len(), program.slots() as usize);
-                    (program, slots)
-                })
-            }
-            _ => None,
+            Predicate::Walker(expr) => eval(expr, ctx, fx)?.is_truthy(),
         })
-        .collect();
-    let project_vm = std::cell::RefCell::new(Vm::new());
+    }
+}
 
-    let project =
-        |row: &CRow, group: Option<&[CRow]>, fx: &mut SideEffects| -> Result<Row, DbError> {
+/// One SELECT arm being executed: its plan, the table handles and all-NULL
+/// rows every composite row borrows from (one of each per layout binding),
+/// and the WHERE predicate.
+struct Arm<'p, 'r> {
+    db: &'p Database,
+    plan: &'p SelectPlan<'p>,
+    stores: &'r [Cow<'r, TableStore>],
+    nulls: &'r [Row],
+    outer: Option<&'p EvalCtx<'p>>,
+    cache: Option<&'p ProgramCache>,
+    filter: Predicate<'p>,
+    now: i64,
+}
+
+impl<'p, 'r> Arm<'p, 'r> {
+    fn ctx<'s>(&self, layout: &'s [Binding], row: &'s CRow<'s>) -> EvalCtx<'s>
+    where
+        'p: 's,
+    {
+        EvalCtx {
+            db: self.db,
+            layout,
+            row,
+            group: None,
+            outer: self.outer,
+            now: self.now,
+        }
+    }
+
+    /// Scan + NestedLoopJoin + Filter as one pipeline: nested loops over
+    /// the FROM tables (cartesian product), then over each joined table in
+    /// plan order, filling binding `depth` onward of one reused
+    /// `candidate`. The innermost loop tests WHERE on the candidate and
+    /// copies out only the rows that pass. Only the layout prefix up to a
+    /// joined binding is visible to its ON predicate — later joins have
+    /// not produced cells yet. LEFT joins null-pad probe rows with no
+    /// match. With no FROM there is a single empty candidate (`SELECT 1`).
+    fn produce(
+        &mut self,
+        depth: usize,
+        candidate: &mut CRow<'r>,
+        out: &mut Vec<CRow<'r>>,
+        fx: &mut SideEffects,
+    ) -> Result<(), DbError> {
+        let plan = self.plan;
+        if depth == plan.layout.len() {
+            let ctx = self.ctx(&plan.layout, candidate);
+            if self.filter.holds(&ctx, fx)? {
+                out.push(candidate.clone());
+            }
+            return Ok(());
+        }
+        let stores = self.stores;
+        let Some(join) = depth.checked_sub(plan.scan.len()).map(|j| &plan.joins[j]) else {
+            for (_, row) in stores[depth].scan() {
+                candidate.cells.push(row);
+                self.produce(depth + 1, candidate, out, fx)?;
+                candidate.cells.pop();
+            }
+            return Ok(());
+        };
+        let mut matched = false;
+        for (_, row) in stores[depth].scan() {
+            candidate.cells.push(row);
+            let keep = match join.on {
+                None => true,
+                Some(on) => {
+                    eval(on, &self.ctx(&plan.layout[..=join.binding], candidate), fx)?.is_truthy()
+                }
+            };
+            if keep {
+                matched = true;
+                self.produce(depth + 1, candidate, out, fx)?;
+            }
+            candidate.cells.pop();
+        }
+        if !matched && join.kind == JoinKind::Left {
+            candidate.cells.push(&self.nulls[join.binding]);
+            self.produce(depth + 1, candidate, out, fx)?;
+            candidate.cells.pop();
+        }
+        Ok(())
+    }
+
+    /// Aggregate + Project + Sort + Distinct: turns filtered composite rows
+    /// into output rows. Grouping (when the plan has an aggregate stage)
+    /// partitions by the GROUP BY key vector — or one synthetic all-rows
+    /// group — applies HAVING per group, then projects one row per group.
+    #[allow(clippy::too_many_lines)]
+    fn emit(&self, rows: Vec<CRow<'r>>, fx: &mut SideEffects) -> Result<Vec<Row>, DbError> {
+        let (db, plan, outer, cache, now) = (self.db, self.plan, self.outer, self.cache, self.now);
+        let layout = &plan.layout;
+        let columns = &plan.project.columns;
+
+        // Compile non-aggregate projection expressions once for the whole
+        // result set; items that stay on the walker keep `None`.
+        let item_programs: Vec<Option<(Arc<septic_vm::Program>, Vec<Value>)>> = plan
+            .project
+            .items
+            .iter()
+            .map(|item| match item {
+                SelectItem::Expr { expr, .. } => compile(cache, expr, layout),
+                _ => None,
+            })
+            .collect();
+        let project_vm = std::cell::RefCell::new(Vm::new());
+
+        let project = |row: &CRow<'_>,
+                       group: Option<&[CRow<'_>]>,
+                       fx: &mut SideEffects|
+         -> Result<Row, DbError> {
             let ctx = EvalCtx {
                 db,
                 layout,
@@ -917,128 +959,126 @@ fn emit_stage(
             Ok(out)
         };
 
-    let mut result: Vec<Row>;
-    if let Some(agg) = &plan.aggregate {
-        // group rows
-        let mut groups: Vec<(CRow, Vec<CRow>)> = Vec::new();
-        if agg.group_by.is_empty() {
-            let rep = rows.first().cloned().unwrap_or(CRow {
-                cells: layout
-                    .iter()
-                    .map(|b| vec![Value::Null; b.schema.columns.len()])
-                    .collect(),
-            });
-            groups.push((rep, rows));
-        } else {
-            let mut index: HashMap<String, usize> = HashMap::new();
-            for row in rows {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: &row,
-                    group: None,
-                    outer,
-                    now,
-                };
+        let mut result: Vec<Row>;
+        if let Some(agg) = &plan.aggregate {
+            // group rows
+            let mut groups: Vec<(CRow<'r>, Vec<CRow<'r>>)> = Vec::new();
+            if agg.group_by.is_empty() {
+                let rep = rows.first().cloned().unwrap_or(CRow {
+                    cells: self.nulls.iter().collect(),
+                });
+                groups.push((rep, rows));
+            } else {
+                let mut index: HashMap<String, usize> = HashMap::new();
                 let mut key = String::new();
-                for g in agg.group_by {
-                    key.push_str(&format!("{:?}", eval(g, &ctx, fx)?));
-                    key.push('\u{1f}');
-                }
-                match index.get(&key) {
-                    Some(&gi) => groups[gi].1.push(row),
-                    None => {
-                        index.insert(key, groups.len());
-                        groups.push((row.clone(), vec![row]));
+                for row in rows {
+                    let ctx = EvalCtx {
+                        db,
+                        layout,
+                        row: &row,
+                        group: None,
+                        outer,
+                        now,
+                    };
+                    key.clear();
+                    for g in agg.group_by {
+                        eval(g, &ctx, fx)?.push_key(&mut key);
+                    }
+                    match index.get(key.as_str()) {
+                        Some(&gi) => groups[gi].1.push(row),
+                        None => {
+                            index.insert(key.clone(), groups.len());
+                            groups.push((row.clone(), vec![row]));
+                        }
                     }
                 }
+                // With GROUP BY and no matching rows there is no output at all.
             }
-            // With GROUP BY and no matching rows there is no output at all.
-        }
-        // HAVING + projection
-        result = Vec::new();
-        let mut order_keys: Vec<Vec<Value>> = Vec::new();
-        for (rep, members) in &groups {
-            if let Some(h) = agg.having {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: rep,
-                    group: Some(members),
-                    outer,
-                    now,
-                };
-                if !eval(h, &ctx, fx)?.is_truthy() {
-                    continue;
+            // HAVING + projection
+            result = Vec::new();
+            let mut order_keys: Vec<Vec<Value>> = Vec::new();
+            for (rep, members) in &groups {
+                if let Some(h) = agg.having {
+                    let ctx = EvalCtx {
+                        db,
+                        layout,
+                        row: rep,
+                        group: Some(members),
+                        outer,
+                        now,
+                    };
+                    if !eval(h, &ctx, fx)?.is_truthy() {
+                        continue;
+                    }
+                }
+                result.push(project(rep, Some(members), fx)?);
+                if !plan.order_by.is_empty() {
+                    let ctx = EvalCtx {
+                        db,
+                        layout,
+                        row: rep,
+                        group: Some(members),
+                        outer,
+                        now,
+                    };
+                    let mut keys = Vec::new();
+                    for o in plan.order_by {
+                        keys.push(order_key(&o.expr, &ctx, &result[result.len() - 1], fx)?);
+                    }
+                    order_keys.push(keys);
                 }
             }
-            result.push(project(rep, Some(members), fx)?);
             if !plan.order_by.is_empty() {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: rep,
-                    group: Some(members),
-                    outer,
-                    now,
-                };
-                let mut keys = Vec::new();
-                for o in plan.order_by {
-                    keys.push(order_key(&o.expr, &ctx, &result[result.len() - 1], fx)?);
-                }
-                order_keys.push(keys);
-            }
-        }
-        if !plan.order_by.is_empty() {
-            result = sort_rows(result, order_keys, plan.order_by);
-        }
-    } else {
-        // ORDER BY over raw rows, then project
-        if !plan.order_by.is_empty() {
-            let mut keyed: Vec<(Vec<Value>, CRow)> = Vec::with_capacity(rows.len());
-            for row in rows {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: &row,
-                    group: None,
-                    outer,
-                    now,
-                };
-                let projected = project(&row, None, fx)?;
-                let mut keys = Vec::new();
-                for o in plan.order_by {
-                    keys.push(order_key(&o.expr, &ctx, &projected, fx)?);
-                }
-                keyed.push((keys, row));
-            }
-            keyed.sort_by(|a, b| compare_key_vecs(&a.0, &b.0, plan.order_by));
-            result = Vec::with_capacity(keyed.len());
-            for (_, row) in keyed {
-                result.push(project(&row, None, fx)?);
+                result = sort_rows(result, order_keys, plan.order_by);
             }
         } else {
-            result = Vec::with_capacity(rows.len());
-            for row in &rows {
-                result.push(project(row, None, fx)?);
+            // ORDER BY over raw rows, then project
+            if !plan.order_by.is_empty() {
+                let mut keyed: Vec<(Vec<Value>, CRow<'r>)> = Vec::with_capacity(rows.len());
+                for row in rows {
+                    let ctx = EvalCtx {
+                        db,
+                        layout,
+                        row: &row,
+                        group: None,
+                        outer,
+                        now,
+                    };
+                    let projected = project(&row, None, fx)?;
+                    let mut keys = Vec::new();
+                    for o in plan.order_by {
+                        keys.push(order_key(&o.expr, &ctx, &projected, fx)?);
+                    }
+                    keyed.push((keys, row));
+                }
+                keyed.sort_by(|a, b| compare_key_vecs(&a.0, &b.0, plan.order_by));
+                result = Vec::with_capacity(keyed.len());
+                for (_, row) in keyed {
+                    result.push(project(&row, None, fx)?);
+                }
+            } else {
+                result = Vec::with_capacity(rows.len());
+                for row in &rows {
+                    result.push(project(row, None, fx)?);
+                }
+            }
+            if plan.distinct {
+                dedup_rows(&mut result);
             }
         }
-        if plan.distinct {
-            let mut seen = std::collections::HashSet::new();
-            result.retain(|r| seen.insert(row_key(r)));
-        }
+        Ok(result)
     }
-    Ok(result)
 }
 
 /// LIMIT/OFFSET over the emitted rows.
-fn limit_stage(plan: &SelectPlan<'_>, result: Vec<Row>) -> Vec<Row> {
+fn limit_stage(plan: &SelectPlan<'_>, mut result: Vec<Row>) -> Vec<Row> {
     let Some(limit) = plan.limit else {
         return result;
     };
     let start = (limit.offset as usize).min(result.len());
-    let end = start.saturating_add(limit.count as usize).min(result.len());
-    result[start..end].to_vec()
+    result.truncate(start.saturating_add(limit.count as usize));
+    result.drain(..start);
+    result
 }
 
 /// ORDER BY key: positional `ORDER BY 2` picks the projected column (the
@@ -1188,26 +1228,18 @@ fn run_update(
         .iter()
         .map(|(c, _)| schema.column_index(c))
         .collect::<Result<_, _>>()?;
-    // Compile-once fast path for the WHERE predicate (literals go to slots).
-    let compiled = match (&update.where_clause, cache) {
-        (Some(w), Some(c)) => c.program_for(w, &layout).map(|program| {
-            let mut slots = Vec::with_capacity(program.slots() as usize);
-            if let Some(w) = &update.where_clause {
-                vmexec::collect_literals(w, &mut slots);
-            }
-            (program, slots)
-        }),
-        _ => None,
-    };
-    let mut vm = Vm::new();
-    // Plan phase (immutable): decide slot → new row.
+    let mut filter = Predicate::new(update.where_clause.as_ref(), &layout, cache);
+    // Plan phase (immutable): decide slot → new row. Only rewritten rows
+    // are copied.
     let mut plan: Vec<(usize, Row)> = Vec::new();
     {
         let store = db.table(&update.table)?;
+        let mut crow = CRow {
+            cells: Vec::with_capacity(1),
+        };
         for (slot, row) in store.scan() {
-            let crow = CRow {
-                cells: vec![row.clone()],
-            };
+            crow.cells.clear();
+            crow.cells.push(row);
             let ctx = EvalCtx {
                 db,
                 layout: &layout,
@@ -1216,21 +1248,7 @@ fn run_update(
                 outer: None,
                 now,
             };
-            let keep = if let Some((program, slots)) = &compiled {
-                let mut host = vmexec::ExprHost {
-                    slots,
-                    row: &crow,
-                    now,
-                    fx,
-                };
-                vm.run(program, &mut host)?.is_truthy()
-            } else {
-                match &update.where_clause {
-                    None => true,
-                    Some(w) => eval(w, &ctx, fx)?.is_truthy(),
-                }
-            };
-            if !keep {
+            if !filter.holds(&ctx, fx)? {
                 continue;
             }
             let mut new_row = row.clone();
@@ -1268,24 +1286,16 @@ fn run_delete(
         name: schema.name.clone(),
         schema,
     }];
-    let compiled = match (&delete.where_clause, cache) {
-        (Some(w), Some(c)) => c.program_for(w, &layout).map(|program| {
-            let mut slots = Vec::with_capacity(program.slots() as usize);
-            if let Some(w) = &delete.where_clause {
-                vmexec::collect_literals(w, &mut slots);
-            }
-            (program, slots)
-        }),
-        _ => None,
-    };
-    let mut vm = Vm::new();
+    let mut filter = Predicate::new(delete.where_clause.as_ref(), &layout, cache);
     let mut victims: Vec<usize> = Vec::new();
     {
         let store = db.table(&delete.table)?;
+        let mut crow = CRow {
+            cells: Vec::with_capacity(1),
+        };
         for (slot, row) in store.scan() {
-            let crow = CRow {
-                cells: vec![row.clone()],
-            };
+            crow.cells.clear();
+            crow.cells.push(row);
             let ctx = EvalCtx {
                 db,
                 layout: &layout,
@@ -1294,21 +1304,7 @@ fn run_delete(
                 outer: None,
                 now,
             };
-            let hit = if let Some((program, slots)) = &compiled {
-                let mut host = vmexec::ExprHost {
-                    slots,
-                    row: &crow,
-                    now,
-                    fx,
-                };
-                vm.run(program, &mut host)?.is_truthy()
-            } else {
-                match &delete.where_clause {
-                    None => true,
-                    Some(w) => eval(w, &ctx, fx)?.is_truthy(),
-                }
-            };
-            if hit {
+            if filter.holds(&ctx, fx)? {
                 victims.push(slot);
                 if let Some(l) = &delete.limit {
                     if victims.len() as u64 >= l.count {
@@ -1480,6 +1476,10 @@ mod tests {
         let mut db = fixture();
         let out = run(&mut db, "SELECT id FROM users ORDER BY id LIMIT 1, 2");
         assert_eq!(out.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+        let out = run(&mut db, "SELECT id FROM users ORDER BY id LIMIT 3, 5");
+        assert_eq!(out.rows, vec![vec![Value::Int(4)]]);
+        let out = run(&mut db, "SELECT id FROM users LIMIT 9, 1");
+        assert!(out.rows.is_empty());
     }
 
     #[test]
@@ -1679,6 +1679,127 @@ mod tests {
             run_err(&mut db, "SELECT ghost FROM users"),
             DbError::UnknownColumn(_)
         ));
+    }
+
+    /// Runs `sql` on the walker and on the VM (with a program cache) and
+    /// asserts both give the same output; returns the VM's.
+    fn run_both(db: &mut Database, sql: &str) -> QueryOutput {
+        let parsed = parse(sql).unwrap_or_else(|e| panic!("parse `{sql}`: {e}"));
+        let stmt = &parsed.statements[0];
+        let walker = execute(db, stmt, 1000).unwrap_or_else(|e| panic!("walker `{sql}`: {e}"));
+        let cache = ProgramCache::new();
+        let vm = execute_with(db, stmt, 1000, Some(&cache))
+            .unwrap_or_else(|e| panic!("vm `{sql}`: {e}"));
+        assert_eq!(walker.rows, vm.rows, "{sql}");
+        assert_eq!(
+            walker.effects.sleep_seconds, vm.effects.sleep_seconds,
+            "{sql}"
+        );
+        vm
+    }
+
+    fn with_pets(db: &mut Database) {
+        run(
+            db,
+            "CREATE TABLE pets (id INT PRIMARY KEY AUTO_INCREMENT, owner INT, pname VARCHAR(16))",
+        );
+        run(
+            db,
+            "INSERT INTO pets (owner, pname) VALUES (1, 'rex'), (1, 'tom'), (3, 'fly')",
+        );
+    }
+
+    #[test]
+    fn fused_filter_agrees_on_both_engines() {
+        let mut db = fixture();
+        with_pets(&mut db);
+        let anti_join = "SELECT u.name FROM users u LEFT JOIN pets p ON p.owner = u.id \
+                         WHERE p.pname IS NULL ORDER BY u.name";
+        let cartesian = "SELECT u.name, p.pname FROM users u, pets p \
+                         WHERE p.owner = u.id AND u.age > 30 ORDER BY p.pname";
+        // Both WHERE clauses compile, so the VM really runs them.
+        for sql in [anti_join, cartesian] {
+            let parsed = parse(sql).expect("parse");
+            let cache = ProgramCache::new();
+            assert!(
+                where_program(&db, &parsed.statements[0], &cache).is_some(),
+                "{sql}"
+            );
+        }
+        let out = run_both(&mut db, anti_join);
+        assert_eq!(
+            out.rows,
+            vec![vec![Value::from("bob")], vec![Value::from("dan")]]
+        );
+        let out = run_both(&mut db, cartesian);
+        assert_eq!(
+            out.rows,
+            vec![
+                vec![Value::from("cyn"), Value::from("fly")],
+                vec![Value::from("ann"), Value::from("rex")],
+                vec![Value::from("ann"), Value::from("tom")],
+            ]
+        );
+    }
+
+    #[test]
+    fn where_runs_on_every_candidate_row() {
+        // SLEEP returns 0, so no row passes, yet every row pays its sleep:
+        // time-based blind injection depends on exactly this.
+        let mut db = fixture();
+        let out = run_both(&mut db, "SELECT id FROM users WHERE SLEEP(1) = 1");
+        assert!(out.rows.is_empty());
+        assert_eq!(out.effects.sleep_seconds, 4.0);
+        // Through a join too: 4 users x 3 pets candidates, with LIMIT.
+        with_pets(&mut db);
+        let out = run_both(
+            &mut db,
+            "SELECT u.id FROM users u JOIN pets p ON 1 = 1 WHERE SLEEP(1) = 0 LIMIT 1",
+        );
+        assert_eq!(out.rows.len(), 1);
+        assert_eq!(out.effects.sleep_seconds, 12.0);
+        let out = run(&mut db, "UPDATE users SET age = 1 WHERE SLEEP(1) = 1");
+        assert_eq!((out.affected, out.effects.sleep_seconds), (0, 4.0));
+    }
+
+    #[test]
+    fn errors_surface_row_by_row() {
+        // WHERE runs on each candidate as soon as its join produces it, so
+        // a WHERE error on the first candidate wins over an ON error that
+        // only a later probe row would raise.
+        let mut db = fixture();
+        with_pets(&mut db);
+        let err = run_err(
+            &mut db,
+            "SELECT u.name FROM users u JOIN pets p \
+             ON CASE WHEN p.id = 3 THEN on_ghost ELSE 1 END WHERE where_ghost = 1",
+        );
+        assert!(
+            matches!(&err, DbError::UnknownColumn(c) if c == "where_ghost"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn duplicates_follow_sql_equality() {
+        let mut db = Database::new();
+        run(&mut db, "CREATE TABLE t (s VARCHAR(8))");
+        run(&mut db, "INSERT INTO t (s) VALUES ('a'), ('A')");
+        let out = run(&mut db, "SELECT COUNT(*) FROM t WHERE s = 'a'");
+        assert_eq!(out.scalar(), Some(&Value::Int(2)));
+        let out = run(&mut db, "SELECT DISTINCT s FROM t");
+        assert_eq!(out.rows, vec![vec![Value::from("a")]]);
+        let out = run(&mut db, "SELECT s, COUNT(*) FROM t GROUP BY s");
+        assert_eq!(out.rows, vec![vec![Value::from("a"), Value::Int(2)]]);
+        let out = run(
+            &mut db,
+            "SELECT s FROM t WHERE s = 'a' UNION SELECT s FROM t WHERE s = 'A'",
+        );
+        assert_eq!(out.rows, vec![vec![Value::from("a")]]);
+        let out = run(&mut db, "SELECT 1 UNION SELECT 1.0");
+        assert_eq!(out.rows, vec![vec![Value::Int(1)]]);
+        let out = run(&mut db, "SELECT 1 UNION ALL SELECT 1.0");
+        assert_eq!(out.rows.len(), 2);
     }
 
     #[test]

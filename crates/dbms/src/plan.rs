@@ -5,13 +5,20 @@
 //! [`crate::exec`] interprets against storage:
 //!
 //! ```text
-//! Scan (cartesian FROM)
-//!   -> NestedLoopJoin*          (INNER/LEFT, ON predicate)
-//!   -> Filter                   (WHERE, compiled program or walker)
+//! Scan (cartesian FROM)       ┐ one pipeline of nested loops over
+//!   -> NestedLoopJoin*        │ borrowed rows (INNER/LEFT, ON predicate);
+//!   -> Filter                 ┘ WHERE runs in the innermost loop
 //!   -> Aggregate?               (GROUP BY keys + HAVING over groups)
 //!   -> Project                  (labels resolved here)
 //!   -> Sort? -> Distinct? -> Limit?
 //! ```
+//!
+//! Scan, join and filter are distinct plan nodes but one loop nest at run
+//! time: each candidate row is a vector of references into the stored
+//! tables, WHERE (compiled program or walker) tests it as soon as the last
+//! FROM scan or the last join produces it, and only survivors are kept.
+//! Predicates therefore run row by row: on each candidate, every join's
+//! ON first, then WHERE, before the next candidate is built.
 //!
 //! Splitting the plan from its interpretation keeps the stage decisions
 //! (aggregate-or-not, join binding indexes, output labels) inspectable:

@@ -92,6 +92,40 @@ impl Value {
         }
     }
 
+    /// Appends this value's duplicate key to `key`. GROUP BY, DISTINCT and
+    /// UNION treat values as duplicates exactly when their keys are equal,
+    /// and equal keys imply equal values under [`Value::sql_eq`] (or both
+    /// NULL): strings fold case as comparisons do, and an integral `Real`
+    /// keys like the `Int` of the same value. Each key ends with U+001F
+    /// (doubled inside strings), so concatenated keys stay unambiguous.
+    pub fn push_key(&self, key: &mut String) {
+        use std::fmt::Write as _;
+        match self {
+            Value::Null => key.push('N'),
+            Value::Int(v) => {
+                let _ = write!(key, "I{v}");
+            }
+            Value::Real(v)
+                if v.fract() == 0.0 && (i64::MIN as f64..i64::MAX as f64).contains(v) =>
+            {
+                let _ = write!(key, "I{}", *v as i64);
+            }
+            Value::Real(v) => {
+                let _ = write!(key, "R{:x}", v.to_bits());
+            }
+            Value::Str(s) => {
+                key.push('S');
+                for c in s.chars().flat_map(char::to_lowercase) {
+                    if c == KEY_SEP {
+                        key.push(KEY_SEP);
+                    }
+                    key.push(c);
+                }
+            }
+        }
+        key.push(KEY_SEP);
+    }
+
     /// NULL-safe equality (`<=>`): never NULL, NULL <=> NULL is true.
     #[must_use]
     pub fn null_safe_eq(&self, other: &Value) -> bool {
@@ -152,6 +186,9 @@ impl From<String> for Value {
         Value::Str(v)
     }
 }
+
+/// Terminator of one value's key in [`Value::push_key`].
+const KEY_SEP: char = '\u{1f}';
 
 /// Case-folded string ordering without allocating lowercase copies (the
 /// executor compares strings per row in WHERE evaluation).
@@ -275,6 +312,27 @@ mod tests {
             Value::from("a").sql_cmp(&Value::from("B")),
             Some(Ordering::Less)
         );
+    }
+
+    fn key(v: &Value) -> String {
+        let mut k = String::new();
+        v.push_key(&mut k);
+        k
+    }
+
+    #[test]
+    fn keys_agree_with_sql_eq() {
+        assert_eq!(key(&Value::from("a")), key(&Value::from("A")));
+        assert_eq!(key(&Value::Int(1)), key(&Value::Real(1.0)));
+        assert_eq!(key(&Value::Int(0)), key(&Value::Real(-0.0)));
+        assert_ne!(key(&Value::Real(1.5)), key(&Value::Int(1)));
+        assert_ne!(key(&Value::from("1")), key(&Value::Int(1)));
+        assert_ne!(key(&Value::Null), key(&Value::Int(0)));
+        assert_ne!(key(&Value::Real(1e300)), key(&Value::Real(f64::INFINITY)));
+        // Concatenated keys stay unambiguous when a string holds the
+        // separator.
+        let pair = |a: &str, b: &str| key(&Value::from(a)) + &key(&Value::from(b));
+        assert_ne!(key(&Value::from("a\u{1f}Sb")), pair("a", "b"));
     }
 
     #[test]

@@ -485,7 +485,7 @@ fn literal_value(l: &Literal) -> Value {
 /// helpers, so VM and walker share one semantics implementation.
 pub(crate) struct ExprHost<'a> {
     pub(crate) slots: &'a [Value],
-    pub(crate) row: &'a CRow,
+    pub(crate) row: &'a CRow<'a>,
     pub(crate) now: i64,
     pub(crate) fx: &'a mut SideEffects,
 }
